@@ -48,18 +48,24 @@ type t = {
   sends : (float * float) array;  (** client attempt send offsets *)
   exhaust : float * float;  (** client retry-budget exhaustion offsets *)
   duration : float;
+  down : (float * float) array;
+      (** per-replica crash window; [never] for a replica that stays up *)
+  side : bool array;  (** per-replica partition side *)
+  arrivals : float array array;
+      (** per write index, per replica: the earliest possible apply
+          instant, [infinity] when no execution delivers it in-run *)
 }
 
 let path_key path = N.to_string (N.prepend_root path)
 let key w = (path_key w.path, N.atom_to_string w.atom)
 
+(* The empty window: no instant lies inside it. *)
+let never = (infinity, infinity)
+
 let crash_of t i =
   match t.crash with Some (v, s, e) when v = i -> Some (s, e) | _ -> None
 
-let same_side t a b =
-  match t.sides with
-  | None -> true
-  | Some (g1, _) -> List.mem a g1 = List.mem b g1
+let same_side t a b = t.side.(a) = t.side.(b)
 
 (* ------------------------------------------------------------------ *)
 (* Acceptance: when (if ever) does the home replica apply the write?   *)
@@ -127,12 +133,140 @@ let acceptance t ~origin ~time =
   (applies, (lo, hi), lost_in_crash)
 
 (* ------------------------------------------------------------------ *)
+(* May-propagation: the happens-before relation, widened across
+   anti-entropy rounds.                                                *)
+
+(* Earliest instant a pull response from [p] (holding the op since
+   [hp]) could possibly be applied at [d]: the response must be served
+   while [p] and [d] are both up and not cut from each other (loss is
+   decided at send time), and delivered while [d] is up. The pull
+   REQUEST leg and the random peer choice are ignored — that only
+   enlarges the set of possible executions, which keeps every
+   impossibility claim (and hence every error diagnostic) sound.
+   Each step only pushes [serve] later, so the result is monotone in
+   [hp] and never below it. Reads the per-replica windows precomputed
+   by [of_chaos] and allocates nothing; inlined so the relaxation loop
+   of [arrivals_from] does not box its float argument and result. *)
+let[@inline] transfer t p d hp =
+  if hp = infinity then infinity
+  else begin
+    let lat_lo = fst t.lat in
+    let ps, pe = t.down.(p) and ds, de = t.down.(d) in
+    let cs, ce =
+      match t.partition with
+      | Some w when not (same_side t p d) -> w
+      | _ -> never
+    in
+    let serve = ref hp in
+    let changed = ref true in
+    let guard = ref 0 in
+    while !changed && !guard < 16 do
+      changed := false;
+      incr guard;
+      if !serve >= ps && !serve < pe then begin
+        serve := pe;
+        changed := true
+      end;
+      if !serve >= ds && !serve < de then begin
+        serve := de;
+        changed := true
+      end
+      else if !serve +. lat_lo >= ds && !serve +. lat_lo < de then begin
+        serve := de -. lat_lo;
+        changed := true
+      end;
+      if !serve >= cs && !serve < ce then begin
+        serve := ce;
+        changed := true
+      end
+    done;
+    !serve +. lat_lo
+  end
+
+(* Single-source earliest arrivals from [origin] at [from_], by
+   Dijkstra over the complete pull graph: [transfer] is monotone and
+   never returns less than its input, so settling replicas in arrival
+   order reaches the same fixpoint as relaxing every edge [replicas]
+   times. A replica whose earliest tentative arrival is already past
+   the run is never settled: nothing it could forward lands in-run. *)
+let arrivals_from t ~origin ~from_ =
+  let n = t.config.Ch.replicas in
+  let have = Array.make n infinity in
+  let settled = Array.make n false in
+  have.(origin) <- from_;
+  let rec settle () =
+    let p = ref (-1) in
+    for q = 0 to n - 1 do
+      if (not settled.(q)) && (!p < 0 || have.(q) < have.(!p)) then p := q
+    done;
+    let p = !p in
+    if p >= 0 && have.(p) <= t.duration then begin
+      settled.(p) <- true;
+      for q = 0 to n - 1 do
+        if not settled.(q) then begin
+          let a = transfer t p q have.(p) in
+          if a < have.(q) then have.(q) <- a
+        end
+      done;
+      settle ()
+    end
+  in
+  settle ();
+  Array.map (fun a -> if a <= t.duration then a else infinity) have
+
+(* ------------------------------------------------------------------ *)
 (* Construction.                                                       *)
 
-let of_chaos ?workload (cfg : Ch.config) (spec : Ns.spec) =
+(* What [of_chaos] derives from the spec and the protocol parameters
+   alone, shared by every schedule that varies only its fault windows,
+   seed and workload. *)
+type env = {
+  base : Ch.config;
+  dir_keys : (string, unit) Hashtbl.t;
+  leaf_keys : (string, unit) Hashtbl.t;
+  env_lat : float * float;
+  env_sends : (float * float) array;
+  env_exhaust : float * float;
+  env_samples : float array;
+}
+
+let env (cfg : Ch.config) (spec : Ns.spec) =
+  let dir_keys = Hashtbl.create 16 in
+  Hashtbl.replace dir_keys (path_key (N.singleton N.root_atom)) ();
+  List.iter (fun d -> Hashtbl.replace dir_keys (path_key d) ()) spec.Ns.dirs;
+  let leaf_keys = Hashtbl.create 16 in
+  List.iter (fun (k, _) -> Hashtbl.replace leaf_keys k ()) spec.Ns.leaves;
+  let env_sends, env_exhaust = Bounds.client_sends cfg in
+  {
+    base = cfg;
+    dir_keys;
+    leaf_keys;
+    env_lat = Bounds.latency ();
+    env_sends;
+    env_exhaust;
+    env_samples = Array.of_list (Ch.sample_times cfg);
+  }
+
+let of_chaos ?env:shared ?workload (cfg : Ch.config) (spec : Ns.spec) =
+  let inv =
+    match shared with
+    | None -> env cfg spec
+    | Some inv ->
+        let b = inv.base in
+        if
+          b.Ch.call_timeout <> cfg.Ch.call_timeout
+          || b.Ch.call_attempts <> cfg.Ch.call_attempts
+          || b.Ch.sample_every <> cfg.Ch.sample_every
+          || b.Ch.duration <> cfg.Ch.duration
+        then
+          invalid_arg "Clusterstate.of_chaos: env built for other protocol \
+                       parameters";
+        inv
+  in
   let workload =
     match workload with Some w -> w | None -> Ch.planned_writes cfg spec
   in
+  let n = cfg.Ch.replicas in
   let sides = Ch.partition_sides cfg in
   let partition =
     match sides with
@@ -144,13 +278,6 @@ let of_chaos ?workload (cfg : Ch.config) (spec : Ns.spec) =
     | Some v -> Some (v, cfg.Ch.crash_at, cfg.Ch.crash_at +. cfg.Ch.crash_for)
     | None -> None
   in
-  let lat = Bounds.latency () in
-  let sends, exhaust = Bounds.client_sends cfg in
-  let dir_keys = Hashtbl.create 16 in
-  Hashtbl.replace dir_keys (path_key (N.singleton N.root_atom)) ();
-  List.iter (fun d -> Hashtbl.replace dir_keys (path_key d) ()) spec.Ns.dirs;
-  let leaf_keys = Hashtbl.create 16 in
-  List.iter (fun (k, _) -> Hashtbl.replace leaf_keys k ()) spec.Ns.leaves;
   let t =
     {
       config = cfg;
@@ -160,11 +287,18 @@ let of_chaos ?workload (cfg : Ch.config) (spec : Ns.spec) =
       partition;
       crash;
       heal_at = Ch.heal_time cfg;
-      samples = Array.of_list (Ch.sample_times cfg);
-      lat;
-      sends;
-      exhaust;
+      samples = inv.env_samples;
+      lat = inv.env_lat;
+      sends = inv.env_sends;
+      exhaust = inv.env_exhaust;
       duration = cfg.Ch.duration;
+      down =
+        Array.init n (fun i ->
+            match crash with Some (v, s, e) when v = i -> (s, e) | _ -> never);
+      side =
+        Array.init n (fun i ->
+            match sides with Some (g1, _) -> List.mem i g1 | None -> true);
+      arrivals = [||];
     }
   in
   let writes =
@@ -179,10 +313,10 @@ let of_chaos ?workload (cfg : Ch.config) (spec : Ns.spec) =
     List.mapi
       (fun index (time, origin, path, atom, target) ->
         let nacked =
-          (not (Hashtbl.mem dir_keys (path_key path)))
+          (not (Hashtbl.mem inv.dir_keys (path_key path)))
           ||
           match target with
-          | Some k -> not (Hashtbl.mem leaf_keys k)
+          | Some k -> not (Hashtbl.mem inv.leaf_keys k)
           | None -> false
         in
         let applies, accept, lost_in_crash = acceptance t ~origin ~time in
@@ -240,77 +374,23 @@ let of_chaos ?workload (cfg : Ch.config) (spec : Ns.spec) =
           { w with stamp = (lo, hi) })
       writes
   in
-  { t with writes }
+  let arrivals =
+    Array.map
+      (fun w -> arrivals_from t ~origin:w.origin ~from_:(fst w.accept))
+      writes
+  in
+  { t with writes; arrivals }
 
 let writes t = Array.to_list t.writes
 let applied w = w.applies <> Never && not w.nacked
 
-(* ------------------------------------------------------------------ *)
-(* May-propagation: the happens-before relation, widened across
-   anti-entropy rounds.                                                *)
-
-(* Earliest instant a pull response from [p] (holding the op since
-   [hp]) could possibly be applied at [d]: the response must be served
-   while [p] and [d] are both up and not cut from each other (loss is
-   decided at send time), and delivered while [d] is up. The pull
-   REQUEST leg and the random peer choice are ignored — that only
-   enlarges the set of possible executions, which keeps every
-   impossibility claim (and hence every error diagnostic) sound. *)
-let transfer t p d hp =
-  if hp = infinity then infinity
-  else begin
-    let lat_lo = fst t.lat in
-    let serve = ref hp in
-    let changed = ref true in
-    let guard = ref 0 in
-    while !changed && !guard < 16 do
-      changed := false;
-      incr guard;
-      (match crash_of t p with
-      | Some (s, e) when !serve >= s && !serve < e ->
-          serve := e;
-          changed := true
-      | _ -> ());
-      (match crash_of t d with
-      | Some (s, e) ->
-          if !serve >= s && !serve < e then begin
-            serve := e;
-            changed := true
-          end
-          else if !serve +. lat_lo >= s && !serve +. lat_lo < e then begin
-            serve := e -. lat_lo;
-            changed := true
-          end
-      | _ -> ());
-      match t.partition with
-      | Some (s, e)
-        when (not (same_side t p d)) && !serve >= s && !serve < e ->
-          serve := e;
-          changed := true
-      | _ -> ()
-    done;
-    !serve +. lat_lo
-  end
-
-let earliest_at t ~origin ~from_ d =
-  let n = t.config.Ch.replicas in
-  let have = Array.make n infinity in
-  have.(origin) <- from_;
-  for _hop = 1 to n do
-    for p = 0 to n - 1 do
-      for q = 0 to n - 1 do
-        if q <> p then begin
-          let a = transfer t p q have.(p) in
-          if a < have.(q) then have.(q) <- a
-        end
-      done
-    done
-  done;
-  if have.(d) <= t.duration then Some have.(d) else None
+let arrival t w d =
+  let a = t.arrivals.(w.index).(d) in
+  if a = infinity then None else Some a
 
 let must_concurrent t w1 w2 =
   let unordered a b =
-    match earliest_at t ~origin:a.origin ~from_:(fst a.accept) b.origin with
+    match arrival t a b.origin with
     | None -> true
     | Some arr -> arr > snd b.accept +. eps
   in
@@ -319,6 +399,110 @@ let must_concurrent t w1 w2 =
 let stamps_may_tie w1 w2 =
   let l1, h1 = w1.stamp and l2, h2 = w2.stamp in
   w1.origin <> w2.origin && l1 <= h2 && l2 <= h1
+
+(* ------------------------------------------------------------------ *)
+(* The NG2xx error criteria, shared by the cluster checker and the
+   schedule explorer so both rest on the same Must/Never facts.        *)
+
+let must_writes t =
+  List.filter (fun w -> w.applies = Must && applied w) (writes t)
+
+let races t =
+  let ws = t.writes in
+  let n = Array.length ws in
+  let found = ref [] in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      let a = ws.(i) and b = ws.(j) in
+      if
+        a.applies = Must && b.applies = Must && applied a && applied b
+        && key a = key b
+        && a.target <> b.target
+        && must_concurrent t a b
+      then found := (a, b) :: !found
+    done
+  done;
+  List.rev !found
+
+let holes t =
+  if t.crash = None then []
+  else List.filter (fun w -> w.lost_in_crash) (writes t)
+
+let cuts t =
+  let must = must_writes t in
+  List.init t.config.Ch.replicas (fun d ->
+      List.find_opt (fun w -> w.origin <> d && arrival t w d = None) must
+      |> Option.map (fun w -> (w, d)))
+  |> List.filter_map Fun.id
+
+type stale = {
+  fault : [ `Partition | `Crash ];
+  window : float * float;
+  replica : int;
+  write : write;
+  sample : int;
+  time : float;
+  count : int;
+}
+
+let stales ~rounds t =
+  let stale_bound = float_of_int rounds *. t.config.Ch.ae_period in
+  let must = must_writes t in
+  let replicas = List.init t.config.Ch.replicas (fun i -> i) in
+  let windows =
+    (match t.partition with
+    | Some w -> [ (`Partition, w, fun o d -> not (same_side t o d)) ]
+    | None -> [])
+    @
+    match t.crash with
+    | Some (v, s, e) -> [ (`Crash, (s, e), fun o d -> o = v <> (d = v)) ]
+    | None -> []
+  in
+  List.filter_map
+    (fun (fault, (s, e), isolates) ->
+      if e > t.duration -. eps || e -. s < stale_bound -. eps then None
+      else
+        List.find_map
+          (fun d ->
+            List.find_map
+              (fun w ->
+                if not (isolates w.origin d) then None
+                else
+                  let blocked tau =
+                    match arrival t w d with
+                    | None -> true
+                    | Some a -> a > tau +. eps
+                  in
+                  (* the latest sample inside the window that the op
+                     provably cannot have reached [d] by *)
+                  let best = ref None and count = ref 0 in
+                  Array.iteri
+                    (fun k tau ->
+                      if
+                        tau > snd w.accept +. eps
+                        && tau > s
+                        && tau < e -. eps
+                        && blocked tau
+                      then begin
+                        incr count;
+                        best := Some (k, tau)
+                      end)
+                    t.samples;
+                  Option.map
+                    (fun (sample, time) ->
+                      {
+                        fault;
+                        window = (s, e);
+                        replica = d;
+                        write = w;
+                        sample;
+                        time;
+                        count = !count;
+                      })
+                    !best)
+              must)
+          replicas)
+    windows
 
 (* ------------------------------------------------------------------ *)
 (* Convergence verdicts.                                               *)

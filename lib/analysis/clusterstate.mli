@@ -6,7 +6,9 @@
     execution of that schedule: per-write acceptance ([Must]/[May]/
     [Never]) with time bounds, Lamport-stamp intervals, and a
     may-propagation (happens-before) relation over writes widened
-    across anti-entropy rounds.
+    across anti-entropy rounds — stored as one arrival vector per
+    write (the earliest instant its op could reach each replica),
+    computed once per interpretation.
 
     The soundness contract every {!Replpasses} error diagnostic rests
     on: a [Must] fact holds in {e every} execution of the schedule, a
@@ -52,16 +54,41 @@ type t = {
   sends : (float * float) array;  (** client attempt send offsets *)
   exhaust : float * float;  (** client retry-budget exhaustion offsets *)
   duration : float;
+  down : (float * float) array;
+      (** per-replica crash window, [(infinity, infinity)] for a
+          replica that never crashes *)
+  side : bool array;
+      (** per-replica partition side (all [true] without a partition) *)
+  arrivals : float array array;
+      (** the arrival vectors: per write index, per replica, the
+          earliest instant the write's op could be applied there
+          ([infinity] when never in-run) — see {!arrival} *)
 }
 
+type env
+(** What interpretation derives from the spec and the protocol
+    parameters alone: the spec's directory and leaf-key tables, the
+    latency and client send bounds, the sampling instants. Never
+    mutated after construction, so one value can be shared across
+    domains. *)
+
+val env : Dsim.Chaos.config -> Dsim.Nameserver.spec -> env
+
 val of_chaos :
+  ?env:env ->
   ?workload:(float * int * Dsim.Nameserver.request) list ->
   Dsim.Chaos.config ->
   Dsim.Nameserver.spec ->
   t
-(** Interprets the schedule. [workload] defaults to
-    {!Dsim.Chaos.planned_writes} — the exact workload a chaos run of
-    this config and spec would issue; non-write requests are ignored. *)
+(** Interprets the schedule, computing every write's arrival vector
+    once. [workload] defaults to {!Dsim.Chaos.planned_writes} — the
+    exact workload a chaos run of this config and spec would issue;
+    non-write requests are ignored. [env] (default [env config spec])
+    lets a caller interpreting many schedules of one spec skip
+    rebuilding the invariants; it must come from a config with the
+    same [call_timeout], [call_attempts], [sample_every] and
+    [duration] (the schedules may differ in fault windows, seed and
+    workload), or [Invalid_argument] is raised. *)
 
 val writes : t -> write list
 val applied : write -> bool
@@ -74,13 +101,22 @@ val same_side : t -> int -> int -> bool
 (** Whether two replicas are on the same partition side (always true
     without a partition). *)
 
-val earliest_at : t -> origin:int -> from_:float -> int -> float option
-(** [earliest_at t ~origin ~from_ d]: the earliest instant an op
-    applied at [origin] at time [from_] could possibly be applied at
-    replica [d] in any execution, via any chain of anti-entropy pulls;
-    [None] when no execution delivers it within the run. [Some] answers
-    are lower bounds (over-approximated possibility); [None] is an
-    impossibility proof. *)
+val transfer : t -> int -> int -> float -> float
+(** [transfer t p d hp]: the earliest instant a pull response from
+    replica [p], holding the op since [hp], could possibly be applied
+    at replica [d] — served while both are up and not cut from each
+    other, delivered while [d] is up. Monotone in [hp] and never below
+    it ([transfer t p d x >= x]), which is what lets the arrival
+    vectors settle each replica once. [infinity] stays [infinity]. *)
+
+val arrival : t -> write -> int -> float option
+(** [arrival t w d]: the earliest instant [w]'s op, applied at its
+    origin at [fst w.accept], could possibly be applied at replica [d]
+    in any execution, via any chain of anti-entropy pulls (the
+    single-source fixpoint of {!transfer}); [None] when no execution
+    delivers it within the run. [Some] answers are lower bounds
+    (over-approximated possibility); [None] is an impossibility proof.
+    A lookup into [t.arrivals]. *)
 
 val must_concurrent : t -> write -> write -> bool
 (** Provably concurrent: in no execution can either write's op have
@@ -89,6 +125,42 @@ val must_concurrent : t -> write -> write -> bool
 val stamps_may_tie : write -> write -> bool
 (** The two stamp intervals overlap across distinct origins, so the
     LWW winner may be decided only by the origin-id tiebreak. *)
+
+(** {2 The NG2xx error criteria}
+
+    Shared by {!Replpasses} (one schedule) and {!Explore} (every
+    candidate schedule): each list is a set of Must/Never facts about
+    every execution of the schedule. *)
+
+val races : t -> (write * write) list
+(** Pairs of [Must] writes to one LWW key with different targets that
+    are {!must_concurrent} — last-writer-wins provably discards one.
+    In workload order ([i < j], by [i] then [j]). *)
+
+val holes : t -> write list
+(** Durability holes: writes [lost_in_crash], in workload order. *)
+
+val cuts : t -> (write * int) list
+(** Per replica [d], ascending, the first [Must] write (workload order)
+    from another origin whose op can never reach [d] within the run. *)
+
+type stale = {
+  fault : [ `Partition | `Crash ];  (** the isolating fault window's kind *)
+  window : float * float;  (** that window *)
+  replica : int;  (** the provably stale replica *)
+  write : write;  (** the update it cannot have seen *)
+  sample : int;  (** index of the latest blocked sample *)
+  time : float;  (** its sample instant *)
+  count : int;  (** blocked samples inside the window *)
+}
+
+val stales : rounds:int -> t -> stale list
+(** At most one fact per fault window (partition first, then crash)
+    that heals in-run and lasts at least [rounds] anti-entropy
+    periods: the first replica (ascending) and [Must] write (workload
+    order) the window isolates from each other such that some sample
+    strictly inside the window, after the write's acceptance, provably
+    precedes the op's arrival there. *)
 
 val reconverge_provable : ?rounds:int -> t -> bool
 (** Whether reconvergence is provable within [rounds] (default 2)

@@ -77,19 +77,11 @@ let claim_holds claim (r : Ch.result) =
           | Some s -> not s.Ch.converged
           | None -> false))
 
-type stale = {
-  replica : int;
-  write : Cs.write;
-  sample : int;
-  time : float;
-  count : int;
-}
-
 type found =
   | Race of Cs.write * Cs.write
   | Hole of Cs.write
   | Cut of Cs.write * int
-  | Stale of stale
+  | Stale of Cs.stale
 
 type witness = {
   code : string;
@@ -276,143 +268,28 @@ let candidates c (sites : (N.t * N.atom) list) targets =
     (Seq.init c.max_writes (fun i -> i + 1))
 
 (* ------------------------------------------------------------------ *)
-(* Static evaluation: the NG2xx criteria of [Replpasses], verbatim, so
-   every fact inherits the replay-soundness of the abstract
-   interpretation.                                                     *)
+(* Static evaluation: the NG2xx criteria of [Clusterstate], so every
+   fact inherits the replay-soundness of the abstract interpretation.  *)
 
-let eps = Bounds.eps
+let interpret c env spec cand =
+  Cs.of_chaos ~env ~workload:cand.cwrites (candidate_config c cand) spec
 
-let interpret c spec cand =
-  Cs.of_chaos ~workload:cand.cwrites (candidate_config c cand) spec
-
-let race_of (st : Cs.t) =
-  let ws = Array.of_list (Cs.writes st) in
-  let n = Array.length ws in
-  let found = ref None in
-  (try
-     for i = 0 to n - 1 do
-       for j = i + 1 to n - 1 do
-         let a = ws.(i) and b = ws.(j) in
-         if
-           a.Cs.applies = Cs.Must
-           && b.Cs.applies = Cs.Must
-           && Cs.applied a && Cs.applied b
-           && Cs.key a = Cs.key b
-           && a.Cs.target <> b.Cs.target
-           && Cs.must_concurrent st a b
-         then begin
-           found := Some (a, b);
-           raise Exit
-         end
-       done
-     done
-   with Exit -> ());
-  !found
-
-let hole_of (st : Cs.t) =
-  if st.Cs.crash = None then None
-  else List.find_opt (fun w -> w.Cs.lost_in_crash) (Cs.writes st)
-
-let cut_of (st : Cs.t) =
-  let must =
-    List.filter
-      (fun w -> w.Cs.applies = Cs.Must && Cs.applied w)
-      (Cs.writes st)
-  in
-  let rec go d =
-    if d >= st.Cs.config.Ch.replicas then None
-    else
-      match
-        List.find_opt
-          (fun (w : Cs.write) ->
-            w.Cs.origin <> d
-            && Cs.earliest_at st ~origin:w.Cs.origin ~from_:(fst w.Cs.accept)
-                 d
-               = None)
-          must
-      with
-      | Some w -> Some (w, d)
-      | None -> go (d + 1)
-  in
-  go 0
-
-let stale_facts ~rounds (st : Cs.t) =
-  let cfg = st.Cs.config in
-  let stale_bound = float_of_int rounds *. cfg.Ch.ae_period in
-  let must =
-    List.filter
-      (fun w -> w.Cs.applies = Cs.Must && Cs.applied w)
-      (Cs.writes st)
-  in
-  let replicas = List.init cfg.Ch.replicas (fun i -> i) in
-  let windows =
-    (match (st.Cs.partition, st.Cs.sides) with
-    | Some w, Some (g1, _) ->
-        [ (w, fun o d -> List.mem o g1 <> List.mem d g1) ]
-    | _ -> [])
-    @
-    match st.Cs.crash with
-    | Some (v, s, e) -> [ ((s, e), fun o d -> o = v <> (d = v)) ]
-    | None -> []
-  in
-  List.filter_map
-    (fun ((s, e), isolates) ->
-      if e > st.Cs.duration -. eps || e -. s < stale_bound -. eps then None
-      else
-        List.find_map
-          (fun d ->
-            List.find_map
-              (fun (w : Cs.write) ->
-                if not (isolates w.Cs.origin d) then None
-                else
-                  let arr =
-                    Cs.earliest_at st ~origin:w.Cs.origin
-                      ~from_:(fst w.Cs.accept) d
-                  in
-                  let blocked tau =
-                    match arr with None -> true | Some a -> a > tau +. eps
-                  in
-                  let best = ref None and count = ref 0 in
-                  Array.iteri
-                    (fun k tau ->
-                      if
-                        tau > snd w.Cs.accept +. eps
-                        && tau > s
-                        && tau < e -. eps
-                        && blocked tau
-                      then begin
-                        incr count;
-                        best := Some (k, tau)
-                      end)
-                    st.Cs.samples;
-                  Option.map
-                    (fun (k, tau) ->
-                      {
-                        replica = d;
-                        write = w;
-                        sample = k;
-                        time = tau;
-                        count = !count;
-                      })
-                    !best)
-              must)
-          replicas)
-    windows
+let first_of = function x :: _ -> Some x | [] -> None
 
 type evaluation = {
   race : (Cs.write * Cs.write) option;
   hole : Cs.write option;
   cut : (Cs.write * int) option;
-  stales : stale list;
+  stales : Cs.stale list;
 }
 
-let evaluate c spec cand =
-  let st = interpret c spec cand in
+let evaluate c env spec cand =
+  let st = interpret c env spec cand in
   {
-    race = race_of st;
-    hole = hole_of st;
-    cut = cut_of st;
-    stales = stale_facts ~rounds:c.rounds st;
+    race = first_of (Cs.races st);
+    hole = first_of (Cs.holes st);
+    cut = first_of (Cs.cuts st);
+    stales = Cs.stales ~rounds:c.rounds st;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -420,20 +297,20 @@ let evaluate c spec cand =
    claim (one abstract interpretation per trial), replaying only the
    final minimized schedule.                                           *)
 
-let claim_static c spec claim cand =
-  let st = interpret c spec cand in
+let claim_static c env spec claim cand =
+  let st = interpret c env spec cand in
   match claim with
-  | Lost_update -> race_of st <> None
-  | Lost_client_write -> hole_of st <> None
-  | Unreachable -> cut_of st <> None
+  | Lost_update -> Cs.races st <> []
+  | Lost_client_write -> Cs.holes st <> []
+  | Unreachable -> Cs.cuts st <> []
   | Stale_at k ->
-      List.exists (fun s -> s.sample = k) (stale_facts ~rounds:c.rounds st)
+      List.exists (fun s -> s.Cs.sample = k) (Cs.stales ~rounds:c.rounds st)
 
-let minimize c spec claim cand =
+let minimize c env spec claim cand =
   let trials = ref 0 in
   let holds cand =
     incr trials;
-    claim_static c spec claim cand
+    claim_static c env spec claim cand
   in
   let rec drop_writes cand =
     let n = List.length cand.cwrites in
@@ -526,7 +403,10 @@ let run ?jobs ?(config = default) (spec : Ns.spec) =
       List.fold_left (fun acc (_, _, s) -> acc + s) 0 drawn
     in
     let cands = List.map (fun (cand, _, _) -> cand) drawn in
-    let evaluated = batched ?jobs (fun cand -> (cand, evaluate c spec cand)) cands in
+    let env = Cs.env c.base spec in
+    let evaluated =
+      batched ?jobs (fun cand -> (cand, evaluate c env spec cand)) cands
+    in
     (* Frontier: the first candidate exhibiting each claim kind; for
        staleness the blocked-sample maximizing one (earliest on ties). *)
     let first pick =
@@ -538,9 +418,9 @@ let run ?jobs ?(config = default) (spec : Ns.spec) =
       List.fold_left
         (fun acc (cand, ev) ->
           List.fold_left
-            (fun acc (s : stale) ->
+            (fun acc (s : Cs.stale) ->
               match acc with
-              | Some (_, best) when best.count >= s.count -> acc
+              | Some (_, best) when best.Cs.count >= s.Cs.count -> acc
               | _ -> Some (cand, s))
             acc ev.stales)
         None evaluated
@@ -554,10 +434,9 @@ let run ?jobs ?(config = default) (spec : Ns.spec) =
       let unminimized =
         { Ch.config = candidate_config c cand; writes = cand.cwrites }
       in
-      let mcand, trials = minimize c spec claim cand in
-      let st = interpret c spec mcand in
+      let mcand, trials = minimize c env spec claim cand in
       interpreted := !interpreted + trials + 1;
-      match found_of st with
+      match found_of (evaluate c env spec mcand) with
       | None -> None
       | Some found ->
           let schedule =
@@ -584,29 +463,30 @@ let run ?jobs ?(config = default) (spec : Ns.spec) =
         [
           Option.bind (first (fun ev -> ev.race)) (fun hit ->
               witness Lost_update
-                (fun st -> Option.map (fun (a, b) -> Race (a, b)) (race_of st))
+                (fun ev -> Option.map (fun (a, b) -> Race (a, b)) ev.race)
                 hit);
           Option.bind (first (fun ev -> ev.hole)) (fun hit ->
               witness Lost_client_write
-                (fun st -> Option.map (fun w -> Hole w) (hole_of st))
+                (fun ev -> Option.map (fun w -> Hole w) ev.hole)
                 hit);
           Option.bind (first (fun ev -> ev.cut)) (fun hit ->
               witness Unreachable
-                (fun st -> Option.map (fun (w, d) -> Cut (w, d)) (cut_of st))
+                (fun ev -> Option.map (fun (w, d) -> Cut (w, d)) ev.cut)
                 hit);
-          Option.bind best_stale (fun (cand, s) ->
-              witness (Stale_at s.sample)
-                (fun st ->
-                  stale_facts ~rounds:c.rounds st
-                  |> List.filter (fun (x : stale) -> x.sample = s.sample)
+          Option.bind best_stale (fun (cand, (s : Cs.stale)) ->
+              witness (Stale_at s.Cs.sample)
+                (fun ev ->
+                  List.filter
+                    (fun (x : Cs.stale) -> x.Cs.sample = s.Cs.sample)
+                    ev.stales
                   |> function
                   | [] -> None
                   | x :: rest ->
                       Some
                         (Stale
                            (List.fold_left
-                              (fun best (y : stale) ->
-                                if y.count > best.count then y else best)
+                              (fun best (y : Cs.stale) ->
+                                if y.Cs.count > best.Cs.count then y else best)
                               x rest)))
                 (cand, s));
         ]

@@ -78,15 +78,15 @@ let witness_diag (w : Ex.witness) =
            w.Ex.shrink_trials)
   | Ex.Stale s ->
       diag ~code:"NG303" ~severity:Diagnostic.Warning
-        ~pass:"explore-staleness" ~name:(write_name s.Ex.write)
-        ~loc:s.Ex.sample
+        ~pass:"explore-staleness" ~name:(write_name s.Cs.write)
+        ~loc:s.Cs.sample
         (Printf.sprintf
            "staleness-maximizing schedule (%s): ns%d provably serves stale \
             reads for %d consecutive samples — %s cannot reach it before \
             sample #%d at t=%.1f; replay confirms the sample diverged \
             (minimized in %d trials)"
-           (sched_str w.Ex.schedule) s.Ex.replica s.Ex.count
-           (write_str s.Ex.write) s.Ex.sample s.Ex.time w.Ex.shrink_trials)
+           (sched_str w.Ex.schedule) s.Cs.replica s.Cs.count
+           (write_str s.Cs.write) s.Cs.sample s.Cs.time w.Ex.shrink_trials)
 
 let diagnostics ?jobs subject =
   let outcome = Ex.run ?jobs ~config:subject.config subject.spec in

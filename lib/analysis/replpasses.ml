@@ -98,30 +98,19 @@ let spec_pass (spec : Ns.spec) =
 let races_pass (st : Cs.t) =
   let pass = "cluster-races" in
   let ws = Array.of_list (Cs.writes st) in
-  let n = Array.length ws in
-  let ng201 = ref [] in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let a = ws.(i) and b = ws.(j) in
-      if
-        a.Cs.applies = Cs.Must && b.Cs.applies = Cs.Must
-        && Cs.applied a && Cs.applied b
-        && Cs.key a = Cs.key b
-        && a.Cs.target <> b.Cs.target
-        && Cs.must_concurrent st a b
-      then
-        ng201 :=
-          diag ~code:"NG201" ~severity:Diagnostic.Error ~pass
-            ~name:(write_name b) ~loc:b.Cs.index
-            (Printf.sprintf
-               "%s and %s are provably concurrent updates of one name: \
-                neither op can reach the other's replica before both are \
-                accepted, so last-writer-wins silently discards one of \
-                them"
-               (write_str a) (write_str b))
-          :: !ng201
-    done
-  done;
+  let ng201 =
+    List.map
+      (fun (a, b) ->
+        diag ~code:"NG201" ~severity:Diagnostic.Error ~pass
+          ~name:(write_name b) ~loc:b.Cs.index
+          (Printf.sprintf
+             "%s and %s are provably concurrent updates of one name: \
+              neither op can reach the other's replica before both are \
+              accepted, so last-writer-wins silently discards one of \
+              them"
+             (write_str a) (write_str b)))
+      (Cs.races st)
+  in
   (* One NG205 per site with a possible stamp tie: the pair's witness
      intervals show the winner hangs on the origin-id tiebreak. *)
   let sites = Hashtbl.create 16 in
@@ -156,106 +145,44 @@ let races_pass (st : Cs.t) =
                        (snd a.Cs.stamp) (write_str b) (fst b.Cs.stamp)
                        (snd b.Cs.stamp))))
   in
-  List.rev !ng201 @ ng205
+  ng201 @ ng205
 
 (* ------------------------------------------------------------------ *)
 (* cluster-topology: NG202 (provable non-convergence), NG203           *)
 (* (staleness bound exceeded over a whole fault window).               *)
 
-let eps = Bounds.eps
-
 let topology_pass ~rounds (st : Cs.t) =
   let pass = "cluster-topology" in
-  let cfg = st.Cs.config in
-  let must_writes =
-    List.filter (fun w -> w.Cs.applies = Cs.Must && Cs.applied w)
-      (Cs.writes st)
-  in
-  let ng202 = ref [] in
-  for d = 0 to cfg.Ch.replicas - 1 do
-    match
-      List.find_opt
-        (fun (w : Cs.write) ->
-          w.Cs.origin <> d
-          && Cs.earliest_at st ~origin:w.Cs.origin ~from_:(fst w.Cs.accept) d
-             = None)
-        must_writes
-    with
-    | Some w ->
-        ng202 :=
-          diag ~code:"NG202" ~severity:Diagnostic.Error ~pass
-            ~name:(write_name w) ~loc:w.Cs.index
-            (Printf.sprintf
-               "%s can never reach ns%d within the run: the anti-entropy \
-                pull graph is not strongly connected over the schedule, \
-                so the replicas provably fail to reconverge"
-               (write_str w) d)
-          :: !ng202
-    | None -> ()
-  done;
-  let stale_bound = float_of_int rounds *. cfg.Ch.ae_period in
-  let replicas = List.init cfg.Ch.replicas (fun i -> i) in
-  let windows =
-    (match (st.Cs.partition, st.Cs.sides) with
-    | Some w, Some (g1, _) ->
-        [ ("partition", w, fun o d -> List.mem o g1 <> List.mem d g1) ]
-    | _ -> [])
-    @
-    match st.Cs.crash with
-    | Some (v, s, e) -> [ ("crash", (s, e), fun o d -> o = v <> (d = v)) ]
-    | None -> []
+  let ng202 =
+    List.map
+      (fun ((w : Cs.write), d) ->
+        diag ~code:"NG202" ~severity:Diagnostic.Error ~pass
+          ~name:(write_name w) ~loc:w.Cs.index
+          (Printf.sprintf
+             "%s can never reach ns%d within the run: the anti-entropy \
+              pull graph is not strongly connected over the schedule, \
+              so the replicas provably fail to reconverge"
+             (write_str w) d))
+      (Cs.cuts st)
   in
   let ng203 =
-    List.filter_map
-      (fun (label, (s, e), isolates) ->
-        if e > st.Cs.duration -. eps || e -. s < stale_bound -. eps then None
-        else
-          let witness =
-            List.find_map
-              (fun d ->
-                List.find_map
-                  (fun (w : Cs.write) ->
-                    if not (isolates w.Cs.origin d) then None
-                    else
-                      let arr =
-                        Cs.earliest_at st ~origin:w.Cs.origin
-                          ~from_:(fst w.Cs.accept) d
-                      in
-                      let blocked tau =
-                        match arr with
-                        | None -> true
-                        | Some a -> a > tau +. eps
-                      in
-                      (* the latest sample inside the window that the
-                         op provably cannot have reached [d] by *)
-                      let best = ref None in
-                      Array.iteri
-                        (fun k tau ->
-                          if
-                            tau > snd w.Cs.accept +. eps
-                            && tau > s && tau < e -. eps
-                            && blocked tau
-                          then best := Some (k, tau))
-                        st.Cs.samples;
-                      Option.map (fun (k, tau) -> (d, w, k, tau)) !best)
-                  must_writes)
-              replicas
-          in
-          Option.map
-            (fun (d, w, k, tau) ->
-              diag ~code:"NG203" ~severity:Diagnostic.Error ~pass
-                ~name:(write_name w) ~loc:k
-                (Printf.sprintf
-                   "ns%d is provably stale beyond the staleness bound (%d \
-                    anti-entropy rounds) for the whole %s window %s: %s \
-                    cannot reach it before sample #%d at t=%.1f"
-                   d rounds label
-                   (window_str (s, e))
-                   (write_str w) k tau))
-            witness)
-      windows
+    List.map
+      (fun (x : Cs.stale) ->
+        diag ~code:"NG203" ~severity:Diagnostic.Error ~pass
+          ~name:(write_name x.Cs.write) ~loc:x.Cs.sample
+          (Printf.sprintf
+             "ns%d is provably stale beyond the staleness bound (%d \
+              anti-entropy rounds) for the whole %s window %s: %s \
+              cannot reach it before sample #%d at t=%.1f"
+             x.Cs.replica rounds
+             (match x.Cs.fault with
+             | `Partition -> "partition"
+             | `Crash -> "crash")
+             (window_str x.Cs.window)
+             (write_str x.Cs.write) x.Cs.sample x.Cs.time))
+      (Cs.stales ~rounds st)
   in
-  List.rev !ng202 @ ng203
+  ng202 @ ng203
 
 (* ------------------------------------------------------------------ *)
 (* cluster-durability: NG204 (crash-window holes), NG206 (dedup).      *)
@@ -264,24 +191,21 @@ let durability_pass (st : Cs.t) =
   let pass = "cluster-durability" in
   let cfg = st.Cs.config in
   let ng204 =
-    List.filter_map
-      (fun (w : Cs.write) ->
-        if not w.Cs.lost_in_crash then None
-        else
-          match st.Cs.crash with
-          | None -> None
-          | Some (v, s, e) ->
-              Some
-                (diag ~code:"NG204" ~severity:Diagnostic.Error ~pass
-                   ~name:(write_name w) ~loc:w.Cs.index
-                   (Printf.sprintf
-                      "%s is a durability hole: every retransmission lands \
-                       inside ns%d's crash window %s, no surviving replica \
-                       ever holds the update and the client's retry budget \
-                       provably exhausts"
-                      (write_str w) v
-                      (window_str (s, e)))))
-      (Cs.writes st)
+    match st.Cs.crash with
+    | None -> []
+    | Some (v, s, e) ->
+        List.map
+          (fun (w : Cs.write) ->
+            diag ~code:"NG204" ~severity:Diagnostic.Error ~pass
+              ~name:(write_name w) ~loc:w.Cs.index
+              (Printf.sprintf
+                 "%s is a durability hole: every retransmission lands \
+                  inside ns%d's crash window %s, no surviving replica \
+                  ever holds the update and the client's retry budget \
+                  provably exhausts"
+                 (write_str w) v
+                 (window_str (s, e))))
+          (Cs.holes st)
   in
   let ng206 =
     match cfg.Ch.dedup_window with

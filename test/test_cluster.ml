@@ -301,6 +301,191 @@ let prop_errors_replay_witnessed =
           seed;
       true)
 
+(* ------------------------------------------------------------------ *)
+(* The arrival vectors against an independent oracle: the per-edge
+   transfer read straight off the fault windows, and the n-round
+   Bellman-Ford relaxation the propagation relation was defined by,
+   answering one (write, replica) query at a time.                    *)
+
+let ref_transfer (st : Cs.t) p d hp =
+  let crash_of i =
+    match st.Cs.crash with
+    | Some (v, s, e) when v = i -> Some (s, e)
+    | _ -> None
+  in
+  let same_side a b =
+    match st.Cs.sides with
+    | None -> true
+    | Some (g1, _) -> List.mem a g1 = List.mem b g1
+  in
+  if hp = infinity then infinity
+  else begin
+    let lat_lo = fst st.Cs.lat in
+    let serve = ref hp in
+    let changed = ref true in
+    let guard = ref 0 in
+    while !changed && !guard < 16 do
+      changed := false;
+      incr guard;
+      (match crash_of p with
+      | Some (s, e) when !serve >= s && !serve < e ->
+          serve := e;
+          changed := true
+      | _ -> ());
+      (match crash_of d with
+      | Some (s, e) ->
+          if !serve >= s && !serve < e then begin
+            serve := e;
+            changed := true
+          end
+          else if !serve +. lat_lo >= s && !serve +. lat_lo < e then begin
+            serve := e -. lat_lo;
+            changed := true
+          end
+      | None -> ());
+      match st.Cs.partition with
+      | Some (s, e) when (not (same_side p d)) && !serve >= s && !serve < e ->
+          serve := e;
+          changed := true
+      | _ -> ()
+    done;
+    !serve +. lat_lo
+  end
+
+let ref_earliest_at (st : Cs.t) ~origin ~from_ d =
+  let n = st.Cs.config.Ch.replicas in
+  let have = Array.make n infinity in
+  have.(origin) <- from_;
+  for _hop = 1 to n do
+    for p = 0 to n - 1 do
+      for q = 0 to n - 1 do
+        if q <> p then begin
+          let a = ref_transfer st p q have.(p) in
+          if a < have.(q) then have.(q) <- a
+        end
+      done
+    done
+  done;
+  if have.(d) <= st.Cs.duration then Some have.(d) else None
+
+(* A random interpretation: replicas 2-9, either tier, lossy or not,
+   partition and crash windows that heal in-run, never heal, or are
+   absent, and a random write workload (some writes Nack'd statically,
+   so never applied). *)
+let oracle_state_of_seed seed =
+  let rng = Rng.create (Int64.of_int ((seed * 104729) + 5)) in
+  let replicas = 2 + Rng.int rng 8 in
+  let duration = 60.0 in
+  (* whole-second starts half the time, so window edges can coincide
+     exactly with acceptance instants and sample ticks *)
+  let start () =
+    if Rng.bool rng 0.5 then float_of_int (Rng.int rng 60)
+    else Rng.float rng duration
+  in
+  let window () =
+    match Rng.int rng 3 with
+    | 0 -> (0.0, 0.0)
+    | 1 -> (start (), 1.0 +. Rng.float rng 25.0)
+    | _ -> (start (), 1000.0)
+  in
+  let partition_at, partition_for = window () in
+  let crash_at, crash_for = window () in
+  let config =
+    {
+      Ch.default with
+      Ch.seed;
+      replicas;
+      mode = (if Rng.bool rng 0.5 then `Lww_ae else `Leader_log);
+      drop = (if Rng.bool rng 0.5 then 0.0 else 0.05);
+      partition_at;
+      partition_for;
+      crash_at;
+      crash_for;
+      call_attempts = 1 + Rng.int rng 3;
+      duration;
+    }
+  in
+  let paths = List.map N.to_string spec.Ns.dirs @ [ "/"; "/nodir" ] in
+  let workload =
+    List.init (1 + Rng.int rng 8) (fun _ ->
+        ( Rng.float rng duration,
+          Rng.int rng replicas,
+          Ns.Write
+            {
+              path = N.of_string (Rng.pick rng paths);
+              atom = N.atom (Rng.pick rng [ "x"; "y" ]);
+              target =
+                Rng.pick rng [ Some "k1"; Some "k2"; None; Some "nokey" ];
+            } ))
+    |> List.sort compare
+  in
+  Cs.of_chaos ~workload config spec
+
+let prop_arrivals_match_oracle =
+  QCheck.Test.make
+    ~name:"arrival vectors equal n-round Bellman-Ford; transfer monotone"
+    ~count:300 QCheck.small_nat (fun seed ->
+      let st = oracle_state_of_seed seed in
+      let n = st.Cs.config.Ch.replicas in
+      let show = function None -> "never" | Some a -> Printf.sprintf "%h" a in
+      List.iter
+        (fun (w : Cs.write) ->
+          for d = 0 to n - 1 do
+            let want =
+              ref_earliest_at st ~origin:w.Cs.origin ~from_:(fst w.Cs.accept) d
+            in
+            let got = Cs.arrival st w d in
+            if got <> want then
+              QCheck.Test.fail_reportf
+                "seed %d: write #%d -> ns%d: %s, oracle %s" seed w.Cs.index d
+                (show got) (show want)
+          done)
+        (Cs.writes st);
+      (* probe instants: every fault-window edge, a hair either side,
+         and one latency before it (a delivery landing on the edge);
+         every acceptance bound; a grid over the run *)
+      let edges =
+        (match st.Cs.partition with Some (s, e) -> [ s; e ] | None -> [])
+        @ match st.Cs.crash with Some (_, s, e) -> [ s; e ] | None -> []
+      in
+      let lat_lo = fst st.Cs.lat in
+      let xs =
+        List.concat_map
+          (fun x ->
+            [ x -. 1e-3; x; x +. 1e-3; x -. lat_lo -. 1e-3; x -. lat_lo ])
+          edges
+        @ List.concat_map
+            (fun (w : Cs.write) -> [ fst w.Cs.accept; snd w.Cs.accept ])
+            (Cs.writes st)
+        @ List.init 61 float_of_int
+        @ [ infinity ]
+        |> List.filter (fun x -> Float.is_finite x || x = infinity)
+        |> List.sort_uniq Float.compare
+      in
+      for p = 0 to n - 1 do
+        for d = 0 to n - 1 do
+          if p <> d then
+            ignore
+              (List.fold_left
+                 (fun prev x ->
+                   let y = Cs.transfer st p d x in
+                   if y <> ref_transfer st p d x then
+                     QCheck.Test.fail_reportf
+                       "seed %d: transfer ns%d->ns%d at %h" seed p d x;
+                   if y < x then
+                     QCheck.Test.fail_reportf
+                       "seed %d: transfer ns%d->ns%d at %h went back to %h" seed
+                       p d x y;
+                   if y < prev then
+                     QCheck.Test.fail_reportf
+                       "seed %d: transfer ns%d->ns%d not monotone at %h" seed p
+                       d x;
+                   y)
+                 neg_infinity xs)
+        done
+      done;
+      true)
+
 let suite =
   [
     Alcotest.test_case "broken cluster codes" `Quick test_broken_codes;
@@ -312,4 +497,5 @@ let suite =
     Alcotest.test_case "mode gating of passes" `Quick test_mode_gating;
     Alcotest.test_case "jobs parity across analyzers" `Quick test_jobs_parity;
     QCheck_alcotest.to_alcotest prop_errors_replay_witnessed;
+    QCheck_alcotest.to_alcotest prop_arrivals_match_oracle;
   ]

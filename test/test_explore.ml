@@ -398,6 +398,56 @@ let test_assemble_cross_family () =
   check i "filtered infos still counted" 2 rw.A.Engine.infos;
   check b "exit policy sees unfiltered errors" true (A.Engine.has_errors rw)
 
+(* ------------------------------------------------------------------ *)
+(* Golden reports: [namingctl explore all --replicas 8 --mode M --json]
+   over every sample scheme, rendered exactly as the CLI prints it and
+   byte-compared against the files under test/golden/ (generated when
+   arrivals were still relaxed per query, so they pin the arrival
+   vectors to the definition).                                         *)
+
+let read_golden name =
+  let path =
+    List.find_opt Sys.file_exists
+      [ Filename.concat "golden" name; Filename.concat "test/golden" name ]
+    |> Option.value ~default:(Filename.concat "golden" name)
+  in
+  let ic = open_in_bin path in
+  let text = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  text
+
+let test_golden_r8 mode file () =
+  let config =
+    {
+      Ex.default with
+      Ex.base = { Ex.default.Ex.base with Ch.replicas = 8; mode };
+    }
+  in
+  let targets =
+    List.map
+      (fun scheme ->
+        let w = Option.get (Harness.Sample.world scheme) in
+        let store = w.Harness.Sample.store in
+        let spec = Ns.spec_of_context store w.Harness.Sample.ctx in
+        (scheme, store, Xp.subject ~config spec))
+      Harness.Sample.schemes
+  in
+  let reports =
+    Xp.report_many (List.map (fun (label, _, subj) -> (label, subj)) targets)
+  in
+  let json =
+    A.Json.to_string_pretty
+      (A.Json.Obj
+         [
+           ( "schemes",
+             A.Json.List
+               (List.map2
+                  (fun (_, store, _) (_, r) -> A.Engine.to_json store r)
+                  targets reports) );
+         ])
+  in
+  check s (file ^ " byte-identical") (read_golden file) (json ^ "\n")
+
 let suite =
   [
     Alcotest.test_case "explorer acceptance on broken cluster" `Quick
@@ -413,6 +463,10 @@ let suite =
       test_schedule_json_backward_compat;
     Alcotest.test_case "assemble across four families" `Quick
       test_assemble_cross_family;
+    Alcotest.test_case "golden report, 8 replicas, lww" `Quick
+      (test_golden_r8 `Lww_ae "explore-r8-lww.json");
+    Alcotest.test_case "golden report, 8 replicas, leader" `Quick
+      (test_golden_r8 `Leader_log "explore-r8-leader.json");
     QCheck_alcotest.to_alcotest prop_schedule_roundtrip;
     QCheck_alcotest.to_alcotest prop_witnesses_sound;
   ]
